@@ -690,10 +690,24 @@ int64_t InferenceServer::AdmitFromQueue() {
         scheduler_.PreemptFor(incoming, options_.tenants, &preempt_out);
     LLM_CHECK(preempted);  // single scheduler thread: the victim can't move
     Publish(preempt_out);
+    // An injected slot leak can keep the victim's slot leased; repair it
+    // now instead of at the end of the iteration, so the lane the victim
+    // gave up really is free for the incoming request.
+    if (!scheduler_.HasFreeSlot()) RepairLeakedSlots();
     AdmitState(std::move(state));
     ++admitted;
   }
   return admitted;
+}
+
+void InferenceServer::RepairLeakedSlots() {
+  const int64_t repaired = scheduler_.ReclaimLeakedSlots();
+  if (repaired == 0) return;
+  leaks_repaired_.fetch_add(static_cast<uint64_t>(repaired),
+                            std::memory_order_relaxed);
+  degraded_.store(true, std::memory_order_release);
+  obs::FlightRecorder::Global().Record(obs::FlightEventType::kLeakRepaired,
+                                       static_cast<int32_t>(repaired));
 }
 
 void InferenceServer::Publish(const TickOutput& out) {
@@ -801,15 +815,7 @@ void InferenceServer::SchedulerMain() {
       est_ms_per_step_pub_.store(est_ms_per_step_, std::memory_order_relaxed);
     }
     Publish(tick_out_);
-    const int64_t repaired = scheduler_.ReclaimLeakedSlots();
-    if (repaired > 0) {
-      leaks_repaired_.fetch_add(static_cast<uint64_t>(repaired),
-                                std::memory_order_relaxed);
-      degraded_.store(true, std::memory_order_release);
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kLeakRepaired,
-          static_cast<int32_t>(repaired));
-    }
+    RepairLeakedSlots();
   }
   // Shutdown: retire in-flight sequences (partial output preserved) and
   // fail whatever is still queued.

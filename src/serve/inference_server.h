@@ -270,6 +270,9 @@ class InferenceServer {
   /// Registers the request as in-flight (for the watchdog) and admits it.
   void AdmitState(std::shared_ptr<RequestState> state);
   void Publish(const TickOutput& out);
+  /// Releases slots that are leased with no occupant (injected leaks),
+  /// counting each repair and marking the server degraded.
+  void RepairLeakedSlots();
   void CompleteNow(const std::shared_ptr<RequestState>& state,
                    FinishReason reason, util::Status status);
   void RecordFinish(const RequestState& state, FinishReason reason,

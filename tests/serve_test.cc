@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -140,6 +141,72 @@ TEST(WorkerPoolTest, BackToBackRunsAreIsolated) {
     const int64_t n = round % 5;
     EXPECT_EQ(sum.load(), n * (n + 1) / 2);
   }
+}
+
+// Forces the late-wake interleaving deterministically: one worker is
+// signalled for run E but reacquires the pool lock only after Run(E) has
+// returned, and would reach its claim loop only once Run(E+1) has reset the
+// claim cursor. It must sit E out and then serve E+1 with E+1's fn; a
+// worker that joined the finished run would claim E+1's index 1 through
+// the null fn of run E.
+TEST(WorkerPoolTest, LateWakerSitsOutCompletedRun) {
+  using Point = WorkerPool::WakePoint;
+  WorkerPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int late_lane = -1;         // the worker held at kWoken during run E
+  bool run_returned = false;  // Run(E) has returned
+  bool relocked = false;      // the late worker holds the pool lock again
+  bool next_started = false;  // run E+1 has claimed index 0
+  bool second_claimed = false;
+  pool.SetWakeHookForTesting([&](int lane, Point point) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (point == Point::kWoken && late_lane == -1) {
+      late_lane = lane;
+      cv.wait(lock, [&] { return run_returned; });
+    } else if (point == Point::kRelocked && lane == late_lane && !relocked) {
+      relocked = true;
+      cv.notify_all();
+    } else if (point == Point::kClaiming && lane == late_lane) {
+      cv.wait(lock, [&] { return next_started; });
+    }
+  });
+
+  std::vector<std::atomic<int>> first_hits(2);
+  for (auto& h : first_hits) h.store(0);
+  pool.Run(2, [&](int64_t i, int lane) {
+    first_hits[static_cast<size_t>(i)].fetch_add(1);
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_NE(lane, late_lane);
+  });
+  for (const auto& h : first_hits) EXPECT_EQ(h.load(), 1);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_NE(late_lane, -1);
+    run_returned = true;
+    cv.notify_all();
+    // The late worker now holds the pool lock, so Run(E+1) below can only
+    // publish its run after the worker has read the finished one.
+    cv.wait(lock, [&] { return relocked; });
+  }
+
+  std::vector<std::atomic<int>> hits(2);
+  for (auto& h : hits) h.store(0);
+  pool.Run(2, [&](int64_t i, int) {
+    hits[static_cast<size_t>(i)].fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      // Hold index 0 until another claim lands, so the late worker's claim
+      // is guaranteed to draw index 1 while the run is still open.
+      next_started = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return second_claimed; });
+    } else {
+      second_claimed = true;
+      cv.notify_all();
+    }
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // --- InferenceServer -------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "serve/request_queue.h"
 #include "serve/tenant.h"
 #include "serve/workload.h"
+#include "util/fault.h"
 
 namespace llm::serve {
 namespace {
@@ -379,6 +380,43 @@ TEST(TenantServerTest, ChatPreemptsRunningBatchDecode) {
   EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled +
                                  stats.expired + stats.failed +
                                  stats.preempted);
+  EXPECT_EQ(stats.active_slots, 0);
+  EXPECT_EQ(stats.free_slots, stats.total_slots);
+  server.Shutdown();
+}
+
+// The victim's slot leaks on the way out (injected kSlotLeak on the first
+// retirement, which is the preemption): the server must repair it at once
+// and still admit the chat request into it, instead of admitting into a
+// full pool.
+TEST(TenantServerTest, PreemptionRepairsLeakedVictimSlot) {
+  util::Rng rng(63);
+  nn::GPTModel model(SmallConfig(), &rng);
+  ServerOptions options;
+  options.max_batch_size = 1;  // one slot: chat MUST preempt to run
+  options.num_workers = 1;
+  options.queue_capacity = 4;
+  InferenceServer server(&model, options);
+  server.Start();
+
+  auto batch_id = server.Submit(SlowBatch({5, 6}, 10, 24));
+  ASSERT_TRUE(batch_id.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // decoding
+
+  util::FaultInjector::Global().ArmAt(util::FaultSite::kSlotLeak, {0});
+  const GenerateRequest chat = MakeGreedy({7}, 11, 4, TenantClass::kChat);
+  RequestResult chat_result = server.GenerateBlocking(chat);
+  util::FaultInjector::Global().Disarm();
+  EXPECT_EQ(chat_result.reason, FinishReason::kLength);
+  EXPECT_EQ(chat_result.tokens, SingleStreamReference(model, chat));
+
+  auto batch_result = server.Wait(batch_id.value());
+  ASSERT_TRUE(batch_result.ok());
+  EXPECT_EQ(batch_result.value().reason, FinishReason::kPreempted);
+
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.leaks_repaired, 1u);
+  EXPECT_EQ(stats.preempted, 1u);
   EXPECT_EQ(stats.active_slots, 0);
   EXPECT_EQ(stats.free_slots, stats.total_slots);
   server.Shutdown();
